@@ -1,7 +1,9 @@
 #include "froid/froid.h"
 
+#include <algorithm>
 #include <functional>
 
+#include "aggregates/aggregate_function.h"  // IsBuiltinAggregateName
 #include "plan/planner.h"  // SplitConjuncts / CombineConjuncts
 
 namespace aggify {
@@ -337,57 +339,7 @@ Result<ExprPtr> Froid::BuildInlineTemplate(const FunctionDef& def) {
   return result;
 }
 
-Result<int> Froid::InlineUdfCalls(SelectStmt* stmt) {
-  int inlined = 0;
-  Status failure = Status::OK();
-
-  auto try_inline = [&](ExprPtr* slot) {
-    if (!failure.ok()) return;
-    Expr* e = slot->get();
-    if (e->kind != ExprKind::kFunctionCall) return;
-    auto* call = static_cast<FunctionCallExpr*>(e);
-    if (!db_->catalog().HasFunction(call->name)) return;
-    auto def = db_->catalog().GetFunction(call->name);
-    if (!def.ok()) return;
-    auto tmpl = BuildInlineTemplate(**def);
-    if (!tmpl.ok()) {
-      if (!tmpl.status().IsNotApplicable()) failure = tmpl.status();
-      return;  // leave the call in place
-    }
-    // Bind parameters: positional args, then declared defaults.
-    const auto& params = (*def)->params;
-    if (call->args.size() > params.size()) {
-      failure = Status::BindError("too many arguments in call to " +
-                                  call->name);
-      return;
-    }
-    SubstMap subst;
-    std::vector<ExprPtr> defaults;  // keepalive for default expressions
-    for (size_t i = 0; i < params.size(); ++i) {
-      if (i < call->args.size()) {
-        subst.emplace(params[i].name, call->args[i].get());
-      } else if (params[i].default_value != nullptr) {
-        defaults.push_back(params[i].default_value->Clone());
-        subst.emplace(params[i].name, defaults.back().get());
-      } else {
-        failure = Status::BindError("missing argument " + params[i].name +
-                                    " in call to " + call->name);
-        return;
-      }
-    }
-    *slot = SubstituteVars(**tmpl, subst);
-    ++inlined;
-  };
-
-  for (auto& item : stmt->items) VisitOwnedExprs(&item.expr, try_inline);
-  if (stmt->where != nullptr) VisitOwnedExprs(&stmt->where, try_inline);
-  if (stmt->having != nullptr) VisitOwnedExprs(&stmt->having, try_inline);
-  for (auto& o : stmt->order_by) VisitOwnedExprs(&o.expr, try_inline);
-  RETURN_NOT_OK(failure);
-  return inlined;
-}
-
-// ---------- decorrelation ----------
+// ---------- query scopes ----------
 
 namespace {
 
@@ -404,16 +356,6 @@ class ScopeResolver {
       if (s.IndexOf(name).ok()) return true;
     }
     return false;
-  }
-
-  /// True if every column ref in `e` resolves in this scope.
-  bool FullyLocal(const Expr& e) const {
-    std::vector<std::string> cols;
-    CollectColumnRefs(e, &cols);
-    for (const auto& c : cols) {
-      if (!Resolves(c)) return false;
-    }
-    return !cols.empty() || true;
   }
 
   bool complete() const { return complete_; }
@@ -459,6 +401,208 @@ class ScopeResolver {
   std::vector<Schema> schemas_;
   bool complete_ = true;
 };
+
+/// The body of a subquery expression node, or nullptr.
+const SelectStmt* SubqueryBody(const Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kScalarSubquery:
+      return static_cast<const ScalarSubqueryExpr&>(e).query.get();
+    case ExprKind::kExists:
+      return static_cast<const ExistsExpr&>(e).query.get();
+    case ExprKind::kInList:
+      return static_cast<const InListExpr&>(e).subquery.get();
+    default:
+      return nullptr;
+  }
+}
+
+/// Calls `fn` on each expression evaluated in `stmt`'s own FROM scope: TOP,
+/// select items, join conditions, WHERE, GROUP BY, HAVING and ORDER BY.
+void ForEachScopeExpr(const SelectStmt& stmt,
+                      const std::function<void(const Expr&)>& fn) {
+  std::function<void(const TableRef&)> joins = [&](const TableRef& t) {
+    if (t.kind != TableRef::Kind::kJoin) return;
+    joins(*t.left);
+    joins(*t.right);
+    if (t.join_condition != nullptr) fn(*t.join_condition);
+  };
+  if (stmt.top_n != nullptr) fn(*stmt.top_n);
+  for (const auto& item : stmt.items) fn(*item.expr);
+  for (const auto& t : stmt.from) joins(*t);
+  if (stmt.where != nullptr) fn(*stmt.where);
+  for (const auto& g : stmt.group_by) fn(*g);
+  if (stmt.having != nullptr) fn(*stmt.having);
+  for (const auto& o : stmt.order_by) fn(*o.expr);
+}
+
+/// Calls `fn` on each query of `stmt` that cannot see `stmt`'s own FROM
+/// scope: CTE bodies, derived tables and the UNION ALL operand.
+void ForEachSiblingQuery(const SelectStmt& stmt,
+                         const std::function<void(const SelectStmt&)>& fn) {
+  std::function<void(const TableRef&)> derived = [&](const TableRef& t) {
+    if (t.kind == TableRef::Kind::kSubquery) fn(*t.subquery);
+    if (t.kind == TableRef::Kind::kJoin) {
+      derived(*t.left);
+      derived(*t.right);
+    }
+  };
+  for (const auto& cte : stmt.ctes) fn(*cte.query);
+  for (const auto& t : stmt.from) derived(*t);
+  if (stmt.union_all != nullptr) fn(*stmt.union_all);
+}
+
+/// True if a column reference anywhere in `stmt`, nested queries included,
+/// binds to `outer` rather than to `stmt`'s FROM scope or to a scope that
+/// encloses it below `outer` (`enclosing`, innermost last). A name no inner
+/// scope resolves counts as outer whenever `outer` resolves it, so an
+/// incomplete inner scope errs towards "correlated".
+bool ReferencesOuterScope(const SelectStmt& stmt, const ScopeResolver& outer,
+                          const Catalog& catalog,
+                          std::vector<const ScopeResolver*>* enclosing) {
+  bool found = false;
+  ForEachSiblingQuery(stmt, [&](const SelectStmt& q) {
+    found = found || ReferencesOuterScope(q, outer, catalog, enclosing);
+  });
+  ScopeResolver own(stmt, catalog);
+  enclosing->push_back(&own);
+  ForEachScopeExpr(stmt, [&](const Expr& e) {
+    e.Walk([&](const Expr& node) {
+      if (found) return;
+      if (const SelectStmt* body = SubqueryBody(node)) {
+        found = ReferencesOuterScope(*body, outer, catalog, enclosing);
+      } else if (node.kind == ExprKind::kColumnRef) {
+        const auto& name = static_cast<const ColumnRefExpr&>(node).name;
+        found = outer.Resolves(name) &&
+                std::none_of(enclosing->begin(), enclosing->end(),
+                             [&](const ScopeResolver* s) {
+                               return s->Resolves(name);
+                             });
+      }
+    });
+  });
+  enclosing->pop_back();
+  return found;
+}
+
+/// True if a scalar subquery in the select list, WHERE, HAVING or ORDER BY
+/// of `stmt` references `stmt`'s FROM scope, i.e. would run once per outer
+/// row.
+bool HasCorrelatedScalarSubquery(const SelectStmt& stmt,
+                                 const Catalog& catalog) {
+  ScopeResolver outer(stmt, catalog);
+  bool found = false;
+  auto check = [&](const Expr& e) {
+    e.Walk([&](const Expr& node) {
+      if (found || node.kind != ExprKind::kScalarSubquery) return;
+      std::vector<const ScopeResolver*> enclosing;
+      found = ReferencesOuterScope(*SubqueryBody(node), outer, catalog,
+                                   &enclosing);
+    });
+  };
+  for (const auto& item : stmt.items) check(*item.expr);
+  if (stmt.where != nullptr) check(*stmt.where);
+  if (stmt.having != nullptr) check(*stmt.having);
+  for (const auto& o : stmt.order_by) check(*o.expr);
+  return found;
+}
+
+/// Calls `fn` on every query nested in `e`, at any depth.
+void ForEachNestedQuery(const Expr& e,
+                        const std::function<void(const SelectStmt&)>& fn) {
+  std::function<void(const SelectStmt&)> visit = [&](const SelectStmt& q) {
+    fn(q);
+    ForEachSiblingQuery(q, visit);
+    ForEachScopeExpr(q, [&](const Expr& x) { ForEachNestedQuery(x, fn); });
+  };
+  e.Walk([&](const Expr& node) {
+    if (const SelectStmt* body = SubqueryBody(node)) visit(*body);
+  });
+}
+
+/// True if a column of `args`, nested queries included, has a name that the
+/// FROM scope of a query nested in `tmpl` resolves (or that scope is
+/// incomplete): substituted into `tmpl`, it would bind to the inner table
+/// instead of the caller's.
+bool ArgumentsCaptured(const std::vector<ExprPtr>& args, const Expr& tmpl,
+                       const Catalog& catalog) {
+  std::vector<std::string> names;
+  for (const auto& a : args) {
+    CollectColumnRefs(*a, &names);
+    ForEachNestedQuery(*a, [&](const SelectStmt& q) {
+      ForEachScopeExpr(q, [&](const Expr& x) { CollectColumnRefs(x, &names); });
+    });
+  }
+  if (names.empty()) return false;
+  bool captured = false;
+  ForEachNestedQuery(tmpl, [&](const SelectStmt& q) {
+    ScopeResolver scope(q, catalog);
+    captured = captured || !scope.complete() ||
+               std::any_of(names.begin(), names.end(),
+                           [&](const std::string& n) {
+                             return scope.Resolves(n);
+                           });
+  });
+  return captured;
+}
+
+}  // namespace
+
+// ---------- inlining ----------
+
+Result<int> Froid::InlineUdfCalls(SelectStmt* stmt) {
+  int inlined = 0;
+  Status failure = Status::OK();
+
+  auto try_inline = [&](ExprPtr* slot) {
+    if (!failure.ok()) return;
+    Expr* e = slot->get();
+    if (e->kind != ExprKind::kFunctionCall) return;
+    auto* call = static_cast<FunctionCallExpr*>(e);
+    if (!db_->catalog().HasFunction(call->name)) return;
+    auto def = db_->catalog().GetFunction(call->name);
+    if (!def.ok()) return;
+    auto tmpl = BuildInlineTemplate(**def);
+    if (!tmpl.ok()) {
+      if (!tmpl.status().IsNotApplicable()) failure = tmpl.status();
+      return;  // leave the call in place
+    }
+    if (ArgumentsCaptured(call->args, **tmpl, db_->catalog())) return;
+    // Bind parameters: positional args, then declared defaults.
+    const auto& params = (*def)->params;
+    if (call->args.size() > params.size()) {
+      failure = Status::BindError("too many arguments in call to " +
+                                  call->name);
+      return;
+    }
+    SubstMap subst;
+    std::vector<ExprPtr> defaults;  // keepalive for default expressions
+    for (size_t i = 0; i < params.size(); ++i) {
+      if (i < call->args.size()) {
+        subst.emplace(params[i].name, call->args[i].get());
+      } else if (params[i].default_value != nullptr) {
+        defaults.push_back(params[i].default_value->Clone());
+        subst.emplace(params[i].name, defaults.back().get());
+      } else {
+        failure = Status::BindError("missing argument " + params[i].name +
+                                    " in call to " + call->name);
+        return;
+      }
+    }
+    *slot = SubstituteVars(**tmpl, subst);
+    ++inlined;
+  };
+
+  for (auto& item : stmt->items) VisitOwnedExprs(&item.expr, try_inline);
+  if (stmt->where != nullptr) VisitOwnedExprs(&stmt->where, try_inline);
+  if (stmt->having != nullptr) VisitOwnedExprs(&stmt->having, try_inline);
+  for (auto& o : stmt->order_by) VisitOwnedExprs(&o.expr, try_inline);
+  RETURN_NOT_OK(failure);
+  return inlined;
+}
+
+// ---------- decorrelation ----------
+
+namespace {
 
 struct CorrelationKey {
   ExprPtr inner_col;   // resolves inside Qd
@@ -567,6 +711,58 @@ void ReplaceMatchingExprs(ExprPtr* root, const std::string& pattern_repr,
   }
 }
 
+bool IsNullLiteral(const Expr& e) {
+  return e.kind == ExprKind::kLiteral &&
+         static_cast<const LiteralExpr&>(e).value.is_null();
+}
+
+/// The value of `agg_expr`, the select item of the non-grouped subquery
+/// `inner`, on empty input: each aggregate call is replaced by its value
+/// over no rows (COUNT gives 0; SUM, MIN, MAX, AVG and the catalog's custom
+/// aggregates give NULL). The rest of the expression is kept; in a valid
+/// non-grouped aggregate query it holds only constants, variables and outer
+/// references, which evaluate in the outer row's scope. Returns nullptr if
+/// an aggregate's empty value is unknown or a column outside the aggregates
+/// binds to `inner`'s own FROM scope.
+ExprPtr EmptyGroupValue(const Expr& agg_expr, const SelectStmt& inner,
+                        const Catalog& catalog) {
+  ExprPtr value = agg_expr.Clone();
+  bool known = true;
+  VisitOwnedExprs(&value, [&](ExprPtr* slot) {
+    const Expr& e = **slot;
+    std::string name;
+    if (e.kind == ExprKind::kAggregateCall) {
+      name = static_cast<const AggregateCallExpr&>(e).name;
+    } else if (e.kind == ExprKind::kFunctionCall &&
+               catalog.HasAggregate(
+                   static_cast<const FunctionCallExpr&>(e).name)) {
+      name = static_cast<const FunctionCallExpr&>(e).name;  // planner promotes
+    } else {
+      return;
+    }
+    // Catalog aggregates take precedence over built-in names, as in the
+    // planner; the only catalog kind, LoopAggregate, terminates NULL when
+    // no row initialized its state.
+    if (catalog.HasAggregate(name)) {
+      *slot = MakeLiteral(Value::Null());
+    } else if (name == "count" || name == "count_big") {
+      *slot = MakeLiteral(Value::Int(0));
+    } else if (IsBuiltinAggregateName(name)) {
+      *slot = MakeLiteral(Value::Null());
+    } else {
+      known = false;
+    }
+  });
+  if (!known) return nullptr;
+  ScopeResolver scope(inner, catalog);
+  std::vector<std::string> cols;
+  CollectColumnRefs(*value, &cols);
+  for (const auto& c : cols) {
+    if (!scope.complete() || scope.Resolves(c)) return nullptr;
+  }
+  return value;
+}
+
 }  // namespace
 
 Result<int> Froid::DecorrelateScalarSubqueries(SelectStmt* stmt) {
@@ -588,15 +784,11 @@ Result<int> Froid::DecorrelateScalarSubqueries(SelectStmt* stmt) {
       return;
     }
     if (!ContainsAggregateCall(*inner->items[0].expr)) return;
-    // COUNT rewrites to NULL instead of 0 on empty groups; skip it.
-    bool has_count = false;
-    inner->items[0].expr->Walk([&](const Expr& e) {
-      if (e.kind == ExprKind::kAggregateCall &&
-          static_cast<const AggregateCallExpr&>(e).name == "count") {
-        has_count = true;
-      }
-    });
-    if (has_count) return;
+    // The subquery's value for an outer row with no matching inner rows,
+    // which the LEFT JOIN leaves unmatched (the COUNT bug otherwise).
+    ExprPtr empty_value =
+        EmptyGroupValue(*inner->items[0].expr, *inner, db_->catalog());
+    if (empty_value == nullptr) return;
 
     // Locate the correlated conjuncts: in the inner WHERE (plain shape) or
     // inside the derived table (the Aggify rewrite shape). All analysis runs
@@ -703,7 +895,20 @@ Result<int> Froid::DecorrelateScalarSubqueries(SelectStmt* stmt) {
     stmt->from[0] = TableRef::Join(std::move(stmt->from[0]),
                                    TableRef::Derived(std::move(dsel), dalias),
                                    JoinType::kLeft, std::move(on));
-    *slot = MakeColumnRef(dalias + ".aggval");
+    // A matched row has non-NULL keys, so a NULL ck0 marks an empty group.
+    // When the empty value is NULL the padded aggval already is it.
+    ExprPtr aggval = MakeColumnRef(dalias + ".aggval");
+    if (IsNullLiteral(*empty_value)) {
+      *slot = std::move(aggval);
+    } else {
+      std::vector<CaseWhenExpr::Arm> arms;
+      arms.push_back(CaseWhenExpr::Arm{
+          std::make_unique<IsNullExpr>(MakeColumnRef(dalias + ".ck0"),
+                                       /*neg=*/false),
+          std::move(empty_value)});
+      *slot =
+          std::make_unique<CaseWhenExpr>(std::move(arms), std::move(aggval));
+    }
     ++count;
   };
 
@@ -713,8 +918,14 @@ Result<int> Froid::DecorrelateScalarSubqueries(SelectStmt* stmt) {
 }
 
 Result<int> Froid::RewriteQuery(SelectStmt* stmt) {
-  ASSIGN_OR_RETURN(int inlined, InlineUdfCalls(stmt));
-  ASSIGN_OR_RETURN(int decorrelated, DecorrelateScalarSubqueries(stmt));
+  // Rewrite a clone and commit it only if no scalar subquery is left to run
+  // per outer row: such a subquery is re-planned and re-scanned for every
+  // row, whereas the UDF call it replaced runs its own cached plan.
+  std::unique_ptr<SelectStmt> work = stmt->Clone();
+  ASSIGN_OR_RETURN(int inlined, InlineUdfCalls(work.get()));
+  ASSIGN_OR_RETURN(int decorrelated, DecorrelateScalarSubqueries(work.get()));
+  if (HasCorrelatedScalarSubquery(*work, db_->catalog())) return 0;
+  *stmt = std::move(*work);
   return inlined + decorrelated;
 }
 

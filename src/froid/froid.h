@@ -36,8 +36,9 @@ class Froid {
 
   /// \brief Inlines every call to inlinable catalog UDFs inside `stmt`
   /// (select items, WHERE, and nested expressions), substituting argument
-  /// expressions for parameters. Non-inlinable UDFs are left as calls.
-  /// Returns the number of calls inlined.
+  /// expressions for parameters. Non-inlinable UDFs are left as calls, and
+  /// so is a call whose argument columns a FROM scope inside the template
+  /// would capture. Returns the number of calls inlined.
   Result<int> InlineUdfCalls(SelectStmt* stmt);
 
   /// \brief Decorrelates scalar subqueries in the SELECT list of the form
@@ -45,16 +46,28 @@ class Froid {
   ///   SELECT ..., (SELECT agg(...) FROM (Qd) q) FROM T ...
   ///
   /// where Qd contains an equi-conjunct `inner_col = <outer expr>` whose
-  /// outer side references T. Rewrites to
+  /// outer side references T (or the plain form `SELECT agg(...) FROM R
+  /// WHERE inner_col = <outer expr> ...`). Rewrites to
   ///
-  ///   SELECT ..., d.aggval FROM T ... LEFT JOIN
+  ///   SELECT ..., CASE WHEN d.ck IS NULL THEN <empty value>
+  ///                    ELSE d.aggval END FROM T ... LEFT JOIN
   ///     (SELECT inner_col AS ck, agg(...) AS aggval FROM (Qd') q
   ///      GROUP BY inner_col) d ON <outer expr> = d.ck
   ///
-  /// Returns the number of subqueries decorrelated.
+  /// The empty value is the aggregate expression on no rows (COUNT -> 0,
+  /// every other aggregate -> NULL), so an outer row without inner rows
+  /// gets what the correlated subquery gives it, not the LEFT JOIN's NULL
+  /// (the COUNT bug). When the empty value is NULL the projection is the
+  /// bare d.aggval. Returns the number of subqueries decorrelated.
   Result<int> DecorrelateScalarSubqueries(SelectStmt* stmt);
 
-  /// \brief The full Aggify+ query step: inline + decorrelate.
+  /// \brief The full Aggify+ query step: inline + decorrelate, guarded.
+  /// The rewrite runs on a clone, which replaces `stmt` only if no scalar
+  /// subquery in its select list, WHERE, HAVING or ORDER BY still
+  /// references its FROM scope (a subquery that would run per outer row).
+  /// Otherwise `stmt` is left as parsed and the result is 0, so the Aggify
+  /// plan with its UDF calls runs. The check is structural; nothing is
+  /// planned or executed.
   Result<int> RewriteQuery(SelectStmt* stmt);
 
  private:

@@ -1,6 +1,7 @@
 // Froid symbolic-execution and inlining edge cases.
 #include <gtest/gtest.h>
 
+#include "aggify/rewriter.h"
 #include "froid/froid.h"
 #include "procedural/session.h"
 #include "test_util.h"
@@ -187,6 +188,105 @@ TEST_F(FroidEdgeTest, SubstitutionIsCaptureSafe) {
   ctx.set_vars(&env);
   ASSERT_OK_AND_ASSIGN(QueryResult r, session_->engine().Execute(*stmt, ctx));
   EXPECT_EQ(r.rows[0][0].int_value(), 12);
+}
+
+TEST_F(FroidEdgeTest, GuardKeepsDriverWhenSubqueryStaysCorrelated) {
+  // The cursor query's only correlation is non-equi (k < @a), so the inlined
+  // subquery cannot be decorrelated and would run once per row of t. The
+  // guarded rewrite must leave the driver as parsed: the Aggify plan runs.
+  ASSERT_OK(session_->RunSql(R"(
+    CREATE TABLE u (k INT, w INT);
+    INSERT INTO u VALUES (1, 5), (2, 7), (2, 11), (5, 13);
+    CREATE FUNCTION below_sum(@a INT) RETURNS INT AS
+    BEGIN
+      DECLARE @v INT;
+      DECLARE @s INT = 0;
+      DECLARE c CURSOR FOR SELECT w FROM u WHERE k < @a;
+      OPEN c;
+      FETCH NEXT FROM c INTO @v;
+      WHILE @@FETCH_STATUS = 0
+      BEGIN
+        SET @s = @s + @v;
+        FETCH NEXT FROM c INTO @v;
+      END
+      CLOSE c;
+      DEALLOCATE c;
+      RETURN @s;
+    END)"));
+  const std::string sql = "SELECT a, below_sum(a) AS s FROM t ORDER BY a";
+  Aggify aggify(&db_);
+  ASSERT_OK(aggify.RewriteFunction("below_sum").status());
+  ASSERT_OK_AND_ASSIGN(QueryResult aggified, session_->Query(sql));
+
+  ASSERT_OK_AND_ASSIGN(auto stmt, ParseSelect(sql));
+  const std::string parsed = stmt->ToString();
+  Froid froid(&db_);
+  // Inlining alone leaves the correlated scalar subquery...
+  auto inlined = stmt->Clone();
+  ASSERT_OK_AND_ASSIGN(int n_inlined, froid.InlineUdfCalls(inlined.get()));
+  EXPECT_EQ(n_inlined, 1);
+  EXPECT_NE(inlined->ToString().find("(k < a)"), std::string::npos)
+      << inlined->ToString();
+  // ...so the guarded rewrite commits nothing.
+  ASSERT_OK_AND_ASSIGN(int n, froid.RewriteQuery(stmt.get()));
+  EXPECT_EQ(n, 0);
+  EXPECT_EQ(stmt->ToString(), parsed);
+
+  ExecContext ctx = session_->MakeContext();
+  VariableEnv env;
+  ctx.set_vars(&env);
+  ASSERT_OK_AND_ASSIGN(QueryResult r, session_->engine().Execute(*stmt, ctx));
+  ASSERT_EQ(r.rows.size(), aggified.rows.size());
+  for (size_t i = 0; i < r.rows.size(); ++i) {
+    EXPECT_TRUE(RowsEqual(r.rows[i], aggified.rows[i]))
+        << RowToString(r.rows[i]) << " vs " << RowToString(aggified.rows[i]);
+  }
+  EXPECT_EQ(r.rows[2][1].int_value(), 23);  // a = 3: 5 + 7 + 11
+}
+
+TEST_F(FroidEdgeTest, ArgumentColumnCapturedByTemplateScopeIsNotInlined) {
+  // The UDF's query reads the caller's table: substituting the argument
+  // column `a` into `WHERE a < @k` would give `a < a`, bound to the inner
+  // scan. The call must stay a call.
+  ASSERT_OK(session_->RunSql(R"(
+    CREATE FUNCTION prior_sum(@k INT) RETURNS INT AS
+    BEGIN
+      DECLARE @v INT;
+      DECLARE @s INT = 0;
+      DECLARE c CURSOR FOR SELECT b FROM t WHERE a < @k;
+      OPEN c;
+      FETCH NEXT FROM c INTO @v;
+      WHILE @@FETCH_STATUS = 0
+      BEGIN
+        SET @s = @s + @v;
+        FETCH NEXT FROM c INTO @v;
+      END
+      CLOSE c;
+      DEALLOCATE c;
+      RETURN @s;
+    END)"));
+  const std::string sql = "SELECT a, prior_sum(a) AS s FROM t ORDER BY a";
+  ASSERT_OK_AND_ASSIGN(QueryResult original, session_->Query(sql));
+  Aggify aggify(&db_);
+  ASSERT_OK(aggify.RewriteFunction("prior_sum").status());
+
+  ASSERT_OK_AND_ASSIGN(auto stmt, ParseSelect(sql));
+  const std::string parsed = stmt->ToString();
+  Froid froid(&db_);
+  ASSERT_OK_AND_ASSIGN(int n, froid.RewriteQuery(stmt.get()));
+  EXPECT_EQ(n, 0);
+  EXPECT_EQ(stmt->ToString(), parsed);
+
+  ExecContext ctx = session_->MakeContext();
+  VariableEnv env;
+  ctx.set_vars(&env);
+  ASSERT_OK_AND_ASSIGN(QueryResult r, session_->engine().Execute(*stmt, ctx));
+  ASSERT_EQ(r.rows.size(), original.rows.size());
+  for (size_t i = 0; i < r.rows.size(); ++i) {
+    EXPECT_TRUE(RowsEqual(r.rows[i], original.rows[i]))
+        << RowToString(r.rows[i]) << " vs " << RowToString(original.rows[i]);
+  }
+  EXPECT_EQ(r.rows[3][1].int_value(), 60);  // a = 4: 10 + 20 + 30
 }
 
 }  // namespace
